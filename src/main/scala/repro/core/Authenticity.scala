@@ -13,71 +13,54 @@ import org.apache.spark.sql.functions._
   * the number of recipes of cuisine c (Ahn et al.'s definition; the paper's
   * prose ambiguously says "total number of recipes in the dataset" — see
   * DESIGN.md errata). The mean over k ≠ c includes cuisines where the item
-  * never occurs (P = 0), so the computation densifies over the full
-  * cuisine × item grid.
+  * never occurs (P = 0).
   *
-  * All aggregation runs through Spark SQL and is oracle-checked against
-  * DuckDB in the test suite.
+  * Spark computes only the sparse counts — N_c and the non-zero n_i^c; the
+  * cuisine × item grid is small enough to fill in plain arrays on the
+  * driver. [[Fingerprints.toDF]] exposes the grid in long format, which the
+  * test suite oracle-checks against DuckDB.
   */
 object Authenticity {
-
-  /** (cuisine, item, prevalence) over the full cross product of observed
-    * cuisines and items appearing in `itemsCol`.
-    */
-  def prevalence(recipes: DataFrame, itemsCol: String = "ingredients"): DataFrame = {
-    val perCuisine = recipes.groupBy("cuisine").agg(count(lit(1)).as("n_recipes"))
-    val pairs = recipes
-      .select(col("id"), col("cuisine"), explode(col(itemsCol)).as("item"))
-      .distinct() // recipe-level presence, robust to duplicate items
-      .groupBy("cuisine", "item")
-      .agg(count(lit(1)).as("n_with_item"))
-    val grid = perCuisine.select("cuisine").crossJoin(pairs.select("item").distinct())
-    grid
-      .join(pairs, Seq("cuisine", "item"), "left")
-      .na.fill(0L, Seq("n_with_item"))
-      .join(perCuisine, Seq("cuisine"))
-      .select(
-        col("cuisine"), col("item"),
-        (col("n_with_item").cast("double") / col("n_recipes")).as("prevalence"),
-      )
-  }
-
-  /** Adds `rel_prevalence` = P_i^c − (Σ_k P_i^k − P_i^c) / (K − 1). */
-  def relativePrevalence(prev: DataFrame): DataFrame = {
-    val spark = prev.sparkSession
-    val k = prev.select("cuisine").distinct().count()
-    require(k >= 2, "relative prevalence needs at least two cuisines")
-    val sums = prev.groupBy("item").agg(sum("prevalence").as("sum_prev"))
-    prev
-      .join(sums, Seq("item"))
-      .select(
-        col("cuisine"), col("item"), col("prevalence"),
-        (col("prevalence") - (col("sum_prev") - col("prevalence")) / lit((k - 1).toDouble))
-          .as("rel_prevalence"),
-      )
-  }
 
   final case class Fingerprints(
       cuisines: IndexedSeq[String],
       items: IndexedSeq[String],
-      matrix: Array[Array[Double]], // rel_prevalence, rows = cuisines
-  )
+      matrix: Array[Array[Double]],     // rel_prevalence, rows = cuisines
+      prevalence: Array[Array[Double]], // same axes
+  ) {
 
-  /** Dense relative-prevalence fingerprint matrix, rows sorted by cuisine
-    * and columns by item so the result is deterministic.
+    /** The dense grid as (cuisine, item, prevalence, rel_prevalence) rows. */
+    def toDF(spark: SparkSession): DataFrame = {
+      import spark.implicits._
+      val rows = for (c <- cuisines.indices; i <- items.indices)
+        yield (cuisines(c), items(i), prevalence(c)(i), matrix(c)(i))
+      rows.toDF("cuisine", "item", "prevalence", "rel_prevalence")
+    }
+  }
+
+  /** Relative-prevalence fingerprints of every cuisine, rows sorted by
+    * cuisine and columns by item so the result is deterministic. An item
+    * repeated within a recipe counts once; a recipe without items still
+    * counts in N_c.
     */
   def fingerprints(spark: SparkSession, recipes: DataFrame,
                    itemsCol: String = "ingredients"): Fingerprints = {
     import spark.implicits._
-    val rel = relativePrevalence(prevalence(recipes, itemsCol))
-    val rows = rel.select($"cuisine", $"item", $"rel_prevalence")
-      .as[(String, String, Double)].collect()
-    val cuisines = rows.map(_._1).distinct.sorted.toIndexedSeq
-    val items = rows.map(_._2).distinct.sorted.toIndexedSeq
+    val perCuisine = recipes.groupBy("cuisine").count().as[(String, Long)].collect().sortBy(_._1)
+    require(perCuisine.nonEmpty, "cannot fingerprint cuisines: the recipes DataFrame is empty")
+    val k = perCuisine.length
+    require(k >= 2, s"relative prevalence needs at least two cuisines, got ${perCuisine.map(_._1).mkString(", ")}")
+    val pairs = recipes.select(col("cuisine"), explode(array_distinct(col(itemsCol))).as("item"))
+      .groupBy("cuisine", "item").count().as[(String, String, Long)].collect()
+
+    val cuisines = perCuisine.map(_._1).toIndexedSeq
+    val items = pairs.map(_._2).distinct.sorted.toIndexedSeq
     val ci = cuisines.zipWithIndex.toMap
     val ii = items.zipWithIndex.toMap
-    val m = Array.fill(cuisines.size)(new Array[Double](items.size))
-    rows.foreach { case (c, i, v) => m(ci(c))(ii(i)) = v }
-    Fingerprints(cuisines, items, m)
+    val prev = Array.ofDim[Double](k, items.size)
+    pairs.foreach { case (c, i, n) => prev(ci(c))(ii(i)) = n.toDouble / perCuisine(ci(c))._2 }
+    val sums = items.indices.map(i => prev.iterator.map(_(i)).sum)
+    val rel = Array.tabulate(k, items.size)((c, i) => prev(c)(i) - (sums(i) - prev(c)(i)) / (k - 1))
+    Fingerprints(cuisines, items, rel, prev)
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.fpm.{FPGrowth, FreqItemset}
 
 /** §IV–V.A of the paper: per-cuisine frequent pattern mining.
@@ -24,7 +25,9 @@ object PatternMiner {
     def nPatterns: Int = itemsets.size
   }
 
-  /** Mine every cuisine present in `recipes` with the distributed miner.
+  /** Mine every cuisine present in `recipes`, sorted by cuisine name, in
+    * one Spark pass: the recipes are grouped by cuisine and each group is
+    * mined inside its task with the single-tree [[FPGrowth.mineLocal]].
     *
     * @param itemsCol which item view to mine ("items" = full paper setting)
     */
@@ -35,17 +38,14 @@ object PatternMiner {
   ): Seq[CuisinePatterns] = {
     val spark = recipes.sparkSession
     import spark.implicits._
-    val cuisines = recipes.select("cuisine").distinct().as[String].collect().sorted
-    val cached = recipes.select(recipes("cuisine"), recipes(itemsCol).as("t")).cache()
-    try {
-      cuisines.toSeq.map { c =>
-        val tx = cached.filter($"cuisine" === c).select("t").as[Seq[String]]
-        val n = tx.count()
-        val mined = FPGrowth.mine(tx, minSupport).collect().toSeq
-        CuisinePatterns(c, n, mined)
+    val mined = recipes.select(col("cuisine"), col(itemsCol)).as[(String, Seq[String])]
+      .groupByKey(_._1)
+      .mapGroups { (c, rows) =>
+        val tx = rows.map(_._2).toVector
+        CuisinePatterns(c, tx.size, FPGrowth.mineLocal(tx, minSupport))
       }
-    } finally {
-      cached.unpersist()
-    }
+      .collect().sortBy(_.cuisine)
+    require(mined.nonEmpty, "cannot mine patterns: the recipes DataFrame is empty")
+    mined.toSeq
   }
 }

@@ -49,8 +49,7 @@ object Pipeline {
     }.toMap
 
     val fp = Authenticity.fingerprints(spark, recipes)
-    require(fp.cuisines == cuisines,
-      s"cuisine order mismatch: ${fp.cuisines} vs $cuisines")
+    requireSameCuisines(cuisines, fp.cuisines)
     val authTree = Hac.cluster(Distance.pdist(fp.matrix.toSeq, Distance.euclidean), linkage)
 
     val geoTree = Hac.cluster(Regions.distanceMatrix(cuisines), linkage)
@@ -62,6 +61,15 @@ object Pipeline {
 
     Results(cuisines, patterns, features, patternTrees, authTree, geoTree, sims)
   }
+
+  /** Both cuisine axes come sorted from the same recipes, so they can only
+    * differ in membership; the error names every cuisine missing on a side.
+    */
+  private[core] def requireSameCuisines(mined: IndexedSeq[String], fingerprinted: IndexedSeq[String]): Unit =
+    require(mined == fingerprinted,
+      s"cuisines differ between pattern mining and authenticity: " +
+        s"without fingerprints [${mined.diff(fingerprinted).mkString(", ")}], " +
+        s"without patterns [${fingerprinted.diff(mined).mkString(", ")}]")
 
   /** Generate data at `sf` and run everything. */
   def runAtScale(spark: SparkSession, sf: Double, seed: Long = 42): Results =

@@ -1,23 +1,26 @@
 package repro.fpm
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.Dataset
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** One mined frequent itemset with absolute and relative frequency. */
 final case class FreqItemset(items: Seq[String], freq: Long, support: Double)
 
-/** Distributed FP-Growth — a from-scratch Parallel FP-Growth (Li et al.,
-  * RecSys 2008; the same scheme Spark MLlib implements), written against the
-  * Dataset API:
+/** FP-Growth with one rank-encoded core (rank items, encode transactions
+  * as sorted `Int` ranks, build an [[FPTree]], extract) and two drivers:
   *
-  *  1. count item frequencies; keep items with count >= minCount, ranked by
-  *     descending frequency (rank 0 = most frequent);
-  *  2. rewrite each transaction as its frequent items sorted by rank, and
-  *     emit one *conditional transaction* per item group (gid = rank %
-  *     numGroups): the prefix up to the last item of that group;
-  *  3. per group, build a local [[FPTree]] over the conditional transactions
-  *     and extract itemsets whose suffix belongs to the group — each
-  *     frequent itemset is produced by exactly one group.
+  *  - [[mineLocal]] mines an in-memory collection with a single tree — the
+  *    pipeline's per-cuisine miner, run inside one Spark task per cuisine;
+  *  - [[mine]] is a from-scratch Parallel FP-Growth (Li et al., RecSys 2008;
+  *    the same scheme Spark MLlib implements) over the Dataset API:
+  *     1. count item frequencies and rank the frequent ones;
+  *     2. encode each transaction and emit one *conditional transaction* per
+  *        item group (gid = rank % numGroups): the prefix up to the last
+  *        item of that group;
+  *     3. per group, mine the conditional transactions, keeping only
+  *        itemsets whose suffix belongs to the group — each frequent itemset
+  *        is produced by exactly one group.
   *
   * Validated in tests against MLlib's `ml.fpm.FPGrowth`, [[Apriori]] and
   * [[BruteForce]].
@@ -40,7 +43,7 @@ object FPGrowth {
       minSupport: Double,
       numGroups: Int = 32,
   ): Dataset[FreqItemset] = {
-    require(minSupport > 0 && minSupport <= 1, s"minSupport $minSupport outside (0,1]")
+    requireSupport(minSupport)
     require(numGroups > 0, s"numGroups must be positive")
     val spark = transactions.sparkSession
     import spark.implicits._
@@ -49,76 +52,76 @@ object FPGrowth {
     require(total > 0, "cannot mine an empty transaction set")
     val minCount = minCountFor(minSupport, total)
 
-    // Pass 1: frequent items ranked by descending count (ties broken by name
-    // so the ranking — and thus grouping — is deterministic).
-    val freqItems: Array[(String, Long)] = transactions
-      .flatMap(_.distinct)
-      .groupByKey(identity)
-      .count()
-      .filter(_._2 >= minCount)
-      .collect()
-      .sortBy { case (item, cnt) => (-cnt, item) }
-
-    val ranks: Map[String, Int] = freqItems.iterator.map(_._1).zipWithIndex.toMap
-    val bRanks = spark.sparkContext.broadcast(ranks)
-    val itemOfRank: Array[String] = freqItems.map(_._1)
-    val bItems = spark.sparkContext.broadcast(itemOfRank)
+    // Pass 1: frequent items, ranked.
+    val counts = transactions.flatMap(_.distinct).groupByKey(identity).count().collect()
+    val items = spark.sparkContext.broadcast(rank(counts, minCount))
     val nG = numGroups
 
     // Pass 2: group-dependent conditional transactions.
-    val cond: Dataset[(Int, Array[Int])] = transactions.flatMap { t =>
-      val r = bRanks.value
-      val filtered: Array[Int] = t.distinct.iterator.flatMap(r.get).toArray.sorted
-      val out = mutable.Map.empty[Int, Array[Int]]
-      var i = filtered.length - 1
-      while (i >= 0) {
-        val gid = filtered(i) % nG
-        if (!out.contains(gid)) out(gid) = java.util.Arrays.copyOfRange(filtered, 0, i + 1)
-        i -= 1
+    val cond: Dataset[(Int, Array[Int])] = transactions.mapPartitions { ts =>
+      val ranks = items.value.zipWithIndex.toMap
+      ts.flatMap { t =>
+        val encoded = encode(t, ranks)
+        val out = mutable.Map.empty[Int, Array[Int]]
+        var i = encoded.length - 1
+        while (i >= 0) {
+          val gid = encoded(i) % nG
+          if (!out.contains(gid)) out(gid) = java.util.Arrays.copyOfRange(encoded, 0, i + 1)
+          i -= 1
+        }
+        out
       }
-      out.toSeq
     }
 
-    // Pass 3: per-group local FP-Growth over rank-encoded items.
+    // Pass 3: per-group mining of the suffixes each group owns.
     cond
       .groupByKey(_._1)
       .flatMapGroups { (gid: Int, it: Iterator[(Int, Array[Int])]) =>
-        val tree = new FPTree[Int]
-        it.foreach { case (_, arr) => tree.add(arr.toSeq) }
-        tree.extract(minCount, rank => rank % nG == gid).map { case (rankedItems, cnt) =>
-          val names = bItems.value
-          FreqItemset(rankedItems.map(names).sorted, cnt, cnt.toDouble / total)
-        }
+        extract(it.map(_._2), minCount, _ % nG == gid, items.value, total)
       }
   }
 
-  /** Convenience: mine a DataFrame column of array<string>. */
-  def mineColumn(df: DataFrame, itemsCol: String, minSupport: Double,
-                 numGroups: Int = 32): Dataset[FreqItemset] = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    mine(df.select(itemsCol).as[Seq[String]], minSupport, numGroups)
-  }
-
-  /** Driver-side single-tree FP-Growth over an in-memory collection —
-    * the reference the distributed path must agree with, and the fast path
-    * for per-cuisine mining where one cuisine easily fits in memory.
+  /** Single-tree FP-Growth over an in-memory collection (duplicates within
+    * a transaction are ignored), e.g. one cuisine: at most 16,582
+    * transactions (Italian at SF=1).
     */
   def mineLocal(transactions: Seq[Seq[String]], minSupport: Double): Seq[FreqItemset] = {
-    require(minSupport > 0 && minSupport <= 1, s"minSupport $minSupport outside (0,1]")
+    requireSupport(minSupport)
     val total = transactions.size.toLong
     require(total > 0, "cannot mine an empty transaction set")
     val minCount = minCountFor(minSupport, total)
     val counts = mutable.Map.empty[String, Long].withDefaultValue(0L)
     transactions.foreach(_.distinct.foreach(i => counts(i) += 1))
-    val ranked = counts.toSeq.filter(_._2 >= minCount).sortBy { case (i, c) => (-c, i) }
-    val rank = ranked.iterator.map(_._1).zipWithIndex.toMap
-    val tree = new FPTree[String]
-    transactions.foreach { t =>
-      tree.add(t.distinct.flatMap(i => rank.get(i).map(_ => i)).sortBy(rank))
+    val items = rank(counts, minCount)
+    val ranks = items.zipWithIndex.toMap
+    extract(transactions.iterator.map(encode(_, ranks)), minCount, _ => true, items, total).toSeq
+  }
+
+  private def requireSupport(minSupport: Double): Unit =
+    require(minSupport > 0 && minSupport <= 1, s"minSupport $minSupport outside (0,1]")
+
+  /** Items with count >= minCount, most frequent first (ties by name), so
+    * rank i is the item at index i.
+    */
+  private def rank(counts: Iterable[(String, Long)], minCount: Long): Array[String] =
+    counts.iterator.filter(_._2 >= minCount).toArray.sortBy { case (i, c) => (-c, i) }.map(_._1)
+
+  /** A transaction as the sorted ranks of its distinct frequent items. */
+  private def encode(t: Seq[String], ranks: Map[String, Int]): Array[Int] = {
+    val r = t.iterator.flatMap(ranks.get).toArray.distinct
+    java.util.Arrays.sort(r)
+    r
+  }
+
+  /** Builds one tree over rank-encoded transactions and decodes every
+    * itemset of count >= minCount whose suffix rank passes `accept`.
+    */
+  private def extract(encoded: Iterator[Array[Int]], minCount: Long, accept: Int => Boolean,
+                      items: Array[String], total: Long): Iterator[FreqItemset] = {
+    val tree = new FPTree[Int]
+    encoded.foreach(t => tree.add(ArraySeq.unsafeWrapArray(t)))
+    tree.extract(minCount, accept).map { case (ranks, cnt) =>
+      FreqItemset(ranks.map(items).sorted, cnt, cnt.toDouble / total)
     }
-    tree.extract(minCount).map { case (items, cnt) =>
-      FreqItemset(items.sorted, cnt, cnt.toDouble / total)
-    }.toSeq
   }
 }

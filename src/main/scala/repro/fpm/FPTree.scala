@@ -10,8 +10,8 @@ import scala.collection.mutable
   * Mining walks suffix items, projects the conditional tree for each, and
   * recurses — no candidate generation.
   *
-  * Used both directly (tests, driver-side mining) and as the per-group
-  * miner inside the distributed [[FPGrowth]].
+  * [[FPGrowth]] builds one per transaction set, or one per group in its
+  * distributed miner, over rank-encoded (`Int`) items.
   */
 class FPTree[T] extends Serializable {
   import FPTree._
@@ -45,12 +45,6 @@ class FPTree[T] extends Serializable {
       child.count += count
       curr = child
     }
-    this
-  }
-
-  /** Merge another tree into this one (replays its transactions). */
-  def merge(other: FPTree[T]): this.type = {
-    other.transactions.foreach { case (t, c) => add(t, c) }
     this
   }
 

@@ -2,8 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.fpm.BruteForce
-import repro.fpm.Itemsets
+import repro.fpm.{FreqItemset, Itemsets}
 import repro.recipedb.{CuisineSpecs, RecipeGen}
 
 class PatternMinerSpec extends SparkSpec {
@@ -23,16 +22,32 @@ class PatternMinerSpec extends SparkSpec {
     }
   }
 
-  test("per-cuisine mining equals local single-tree FP-Growth on the same transactions") {
-    // BruteForce would blow up on ~23 frequent items per transaction; the
-    // local miner is itself brute-force-validated in FPTreeSpec.
-    Seq("Korean", "Greek").foreach { c =>
-      val tx: Seq[Seq[String]] = recipes.filter($"cuisine" === c).select("items")
-        .as[Seq[String]].collect().toSeq
-      val local = repro.fpm.FPGrowth.mineLocal(tx, PatternMiner.PaperMinSupport)
-      val got = mined.find(_.cuisine == c).get.itemsets
-      assert(Itemsets.diff(got, local).isEmpty, c)
+  test("per-cuisine mining equals MLlib FP-Growth, items and ingredients") {
+    // MLlib mines one count below the threshold and the exact predicate
+    // freq / n >= s decides, so no threshold rounding is shared with ours.
+    import org.apache.spark.ml.fpm.{FPGrowth => MLFPGrowth}
+    val s = PatternMiner.PaperMinSupport
+    Seq("items", "ingredients").foreach { view =>
+      val ours = (if (view == "items") mined else PatternMiner.minePerCuisine(recipes, itemsCol = view))
+        .map(cp => cp.cuisine -> cp).toMap
+      assert(ours.keySet == CuisineSpecs.all.map(_.name).toSet, view)
+      ours.foreach { case (c, cp) =>
+        val tx = recipes.filter($"cuisine" === c).select(view).toDF("items")
+        val n = cp.nRecipes
+        val theirs = new MLFPGrowth().setItemsCol("items").setNumPartitions(1)
+          .setMinSupport(math.max(0.0, s - 1.0 / n)).fit(tx)
+          .freqItemsets.as[(Seq[String], Long)].collect().toSeq
+          .collect { case (items, freq) if freq.toDouble / n >= s => FreqItemset(items.sorted, freq, freq.toDouble / n) }
+        assert(theirs.nonEmpty, s"$view $c")
+        val d = Itemsets.diff(cp.itemsets, theirs)
+        assert(d.isEmpty, s"$view $c: ${d.take(5)}")
+      }
     }
+  }
+
+  test("an empty recipes DataFrame is rejected with a clear message") {
+    val e = intercept[IllegalArgumentException](PatternMiner.minePerCuisine(recipes.limit(0)))
+    assert(e.getMessage.contains("recipes DataFrame is empty"))
   }
 
   test("singleton pattern supports are oracle-checked against DuckDB") {

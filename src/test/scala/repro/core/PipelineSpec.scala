@@ -59,6 +59,14 @@ class PipelineSpec extends SparkSpec {
     assert(single.patternTrees("euclidean").nLeaves == 26)
   }
 
+  test("a cuisine mismatch names the cuisines missing on each side") {
+    Pipeline.requireSameCuisines(IndexedSeq("A", "B"), IndexedSeq("A", "B"))
+    val e = intercept[IllegalArgumentException](
+      Pipeline.requireSameCuisines(IndexedSeq("A", "B", "C"), IndexedSeq("A", "D")))
+    assert(e.getMessage.contains("without fingerprints [B, C]"), e.getMessage)
+    assert(e.getMessage.contains("without patterns [D]"), e.getMessage)
+  }
+
   test("East Asian cuisines are cophenetically close in the authenticity tree") {
     val t = res.authTree
     val jp = res.leafIndex("Japanese")
