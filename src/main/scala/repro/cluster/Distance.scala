@@ -6,6 +6,12 @@ package repro.cluster
 final case class DistMatrix(n: Int, condensed: Array[Double]) {
   require(condensed.length == n * (n - 1) / 2,
     s"condensed length ${condensed.length} does not match n=$n")
+  // NaN >= 0 is false, so this also rejects NaN.
+  require(condensed.forall(_ >= 0), {
+    val k = condensed.indexWhere(d => !(d >= 0))
+    val (i, j) = (for (i <- 0 until n; j <- i + 1 until n) yield (i, j))(k)
+    s"distance ($i,$j) is ${condensed(k)}: distances must be non-NaN and >= 0"
+  })
 
   /** Index of (i, j), i != j, in the condensed array. */
   def idx(i: Int, j: Int): Int = {
@@ -15,8 +21,6 @@ final case class DistMatrix(n: Int, condensed: Array[Double]) {
   }
 
   def apply(i: Int, j: Int): Double = if (i == j) 0.0 else condensed(idx(i, j))
-
-  def map(f: Double => Double): DistMatrix = DistMatrix(n, condensed.map(f))
 }
 
 /** Distance metrics over dense vectors + pdist.

@@ -27,7 +27,7 @@ object PatternMiner {
 
   /** Mine every cuisine present in `recipes`, sorted by cuisine name, in
     * one Spark pass: the recipes are grouped by cuisine and each group is
-    * mined inside its task with the single-tree [[FPGrowth.mineLocal]].
+    * mined inside its task with the single-tree [[FPGrowth.mine]].
     *
     * @param itemsCol which item view to mine ("items" = full paper setting)
     */
@@ -42,7 +42,7 @@ object PatternMiner {
       .groupByKey(_._1)
       .mapGroups { (c, rows) =>
         val tx = rows.map(_._2).toVector
-        CuisinePatterns(c, tx.size, FPGrowth.mineLocal(tx, minSupport))
+        CuisinePatterns(c, tx.size, FPGrowth.mine(tx, minSupport))
       }
       .collect().sortBy(_.cuisine)
     require(mined.nonEmpty, "cannot mine patterns: the recipes DataFrame is empty")

@@ -10,8 +10,8 @@ import scala.collection.mutable
   * Mining walks suffix items, projects the conditional tree for each, and
   * recurses — no candidate generation.
   *
-  * [[FPGrowth]] builds one per transaction set, or one per group in its
-  * distributed miner, over rank-encoded (`Int`) items.
+  * [[FPGrowth]] builds one per transaction set over rank-encoded (`Int`)
+  * items.
   */
 class FPTree[T] extends Serializable {
   import FPTree._
@@ -19,12 +19,6 @@ class FPTree[T] extends Serializable {
   val root: Node[T] = new Node(null)
 
   private val summaries: mutable.Map[T, Summary[T]] = mutable.Map.empty
-
-  /** Number of distinct items seen. */
-  def nItems: Int = summaries.size
-
-  /** Total count of an item across the tree (0 if absent). */
-  def itemCount(item: T): Long = summaries.get(item).map(_.count).getOrElse(0L)
 
   /** Insert a transaction (item order must be the global rank order for the
     * tree to compress well; correctness does not depend on it).
@@ -67,27 +61,12 @@ class FPTree[T] extends Serializable {
     tree
   }
 
-  /** All transactions currently encoded in the tree (path, count). */
-  def transactions: Iterator[(List[T], Long)] = getTransactions(root)
-
-  private def getTransactions(node: Node[T]): Iterator[(List[T], Long)] = {
-    var count = node.count
-    node.children.iterator.flatMap { case (item, child) =>
-      getTransactions(child).map { case (t, c) =>
-        count -= c
-        (item :: t, c)
-      }
-    } ++ (if (count > 0) Iterator.single((Nil, count)) else Iterator.empty)
-  }
-
-  /** All frequent itemsets with count >= minCount whose *suffix* item (the
-    * first element of the emitted list) satisfies `validateSuffix` — the
-    * hook the distributed miner uses so each group emits only the itemsets
-    * it owns, exactly once.
+  /** All frequent itemsets with count >= minCount, each emitted once with
+    * its suffix item (the one it was projected on) first.
     */
-  def extract(minCount: Long, validateSuffix: T => Boolean = _ => true): Iterator[(List[T], Long)] =
+  def extract(minCount: Long): Iterator[(List[T], Long)] =
     summaries.iterator.flatMap { case (item, summary) =>
-      if (validateSuffix(item) && summary.count >= minCount) {
+      if (summary.count >= minCount) {
         Iterator.single((item :: Nil, summary.count)) ++
           project(item).extract(minCount).map { case (t, c) => (item :: t, c) }
       } else {

@@ -90,10 +90,7 @@ object RecipeGen {
     // ranges is small (26 entries); ship it via closure.
     spark.range(total).as[Long].mapPartitions { ids =>
       ids.map { id =>
-        val (spec, start, _) = ranges.find { case (_, s, e) => id >= s && id < e }.get
-        // per-cuisine-local id keeps draws independent of other cuisines'
-        // sizes only through the global id — fine either way; use global id.
-        val _ = start
+        val (spec, _, _) = ranges.find { case (_, s, e) => id >= s && id < e }.get
         genRecipe(spec, id, seed, pool)
       }
     }

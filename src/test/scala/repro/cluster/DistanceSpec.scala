@@ -97,6 +97,16 @@ class DistanceSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](d.idx(1, 1))
   }
 
+  test("DistMatrix rejects NaN and negative distances, naming the pair") {
+    val nan = intercept[IllegalArgumentException](DistMatrix(2, Array(Double.NaN)))
+    assert(nan.getMessage.contains("(0,1)"), nan.getMessage)
+    // (0,1)(0,2)(0,3)(1,2)(1,3)(2,3): the first bad entry is (1,3).
+    val neg = intercept[IllegalArgumentException](
+      DistMatrix(4, Array(1.0, 2.0, 3.0, 4.0, -0.5, Double.NaN)))
+    assert(neg.getMessage.contains("(1,3)"), neg.getMessage)
+    assert(DistMatrix(2, Array(0.0))(0, 1) == 0.0)
+  }
+
   test("pdist computes all pairs") {
     val vs = Seq(Array(0.0, 0.0), Array(3.0, 4.0), Array(0.0, 8.0))
     val d = Distance.pdist(vs, Distance.euclidean)

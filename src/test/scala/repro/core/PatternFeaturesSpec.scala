@@ -26,6 +26,12 @@ class PatternFeaturesSpec extends AnyFunSuite {
     assert(f.vectorOf("B").toSeq == Seq(1.0, 0.0, 1.0))
   }
 
+  test("vectorOf rejects an unknown cuisine") {
+    val f = PatternFeatures.fromPatterns(Seq(cp("A", Seq(Seq("x")))))
+    val e = intercept[IllegalArgumentException](f.vectorOf("nope"))
+    assert(e.getMessage.contains("unknown cuisine: nope"))
+  }
+
   test("pattern order within an itemset does not matter") {
     val f1 = PatternFeatures.fromPatterns(Seq(cp("A", Seq(Seq("a", "b")))))
     val f2 = PatternFeatures.fromPatterns(Seq(cp("A", Seq(Seq("b", "a")))))

@@ -1,13 +1,9 @@
 package repro.fpm
 
-import org.apache.spark.sql.Dataset
 import repro.SparkSpec
+import repro.core.PatternMiner
 
 class FPGrowthSpec extends SparkSpec {
-
-  import spark.implicits._
-
-  private def ds(tx: Seq[Seq[String]]): Dataset[Seq[String]] = tx.toDS()
 
   private val small = Seq(
     Seq("a", "b", "c"),
@@ -24,27 +20,27 @@ class FPGrowthSpec extends SparkSpec {
     assert(FPGrowth.minCountFor(0.5, 5) == 3L)
   }
 
-  test("distributed result matches brute force on a fixed example") {
-    val got = FPGrowth.mine(ds(small), 0.4).collect().toSeq
+  test("matches brute force on a fixed example") {
+    val got = FPGrowth.mine(small, 0.4)
     val expected = BruteForce.mine(small, 0.4)
     assert(Itemsets.diff(got, expected).isEmpty)
   }
 
   test("support values are freq/total") {
-    val got = FPGrowth.mine(ds(small), 0.4).collect()
+    val got = FPGrowth.mine(small, 0.4)
     got.foreach(fi => assert(fi.support == fi.freq.toDouble / small.size))
     val a = got.find(_.items == Seq("a")).get
     assert(a.freq == 4L && a.support == 0.8)
   }
 
   test("items within an itemset are sorted") {
-    val got = FPGrowth.mine(ds(small), 0.4).collect()
+    val got = FPGrowth.mine(small, 0.4)
     got.foreach(fi => assert(fi.items == fi.items.sorted, fi.toString))
   }
 
   test("duplicate items within a transaction count once") {
     val tx = Seq(Seq("a", "a", "b"), Seq("a"), Seq("b", "b"))
-    val got = FPGrowth.mine(ds(tx), 0.5).collect().toSeq
+    val got = FPGrowth.mine(tx, 0.5)
     val a = got.find(_.items == Seq("a")).get
     assert(a.freq == 2L)
     val b = got.find(_.items == Seq("b")).get
@@ -53,63 +49,73 @@ class FPGrowthSpec extends SparkSpec {
 
   test("empty transactions lower support but are counted in the total") {
     val tx = Seq(Seq("a"), Seq.empty[String], Seq("a"), Seq.empty[String])
-    val got = FPGrowth.mine(ds(tx), 0.5).collect().toSeq
+    val got = FPGrowth.mine(tx, 0.5)
     assert(got == Seq(FreqItemset(Seq("a"), 2L, 0.5)))
   }
 
   test("minSupport 1.0 keeps only universal items") {
     val tx = Seq(Seq("a", "b"), Seq("a"), Seq("a", "c"))
-    val got = FPGrowth.mine(ds(tx), 1.0).collect().toSeq
+    val got = FPGrowth.mine(tx, 1.0)
     assert(got == Seq(FreqItemset(Seq("a"), 3L, 1.0)))
   }
 
   test("no frequent items yields an empty result") {
     val tx = Seq(Seq("a"), Seq("b"), Seq("c"), Seq("d"))
-    assert(FPGrowth.mine(ds(tx), 0.5).collect().isEmpty)
+    assert(FPGrowth.mine(tx, 0.5).isEmpty)
   }
 
   test("invalid minSupport is rejected") {
-    intercept[IllegalArgumentException](FPGrowth.mine(ds(small), 0.0))
-    intercept[IllegalArgumentException](FPGrowth.mine(ds(small), 1.5))
-    intercept[IllegalArgumentException](FPGrowth.mineLocal(small, -0.1))
+    intercept[IllegalArgumentException](FPGrowth.mine(small, 0.0))
+    intercept[IllegalArgumentException](FPGrowth.mine(small, 1.5))
+    intercept[IllegalArgumentException](FPGrowth.mine(small, -0.1))
   }
 
   test("empty input is rejected") {
-    intercept[IllegalArgumentException](FPGrowth.mine(ds(Seq.empty), 0.5).collect())
+    intercept[IllegalArgumentException](FPGrowth.mine(Seq.empty, 0.5))
   }
 
-  test("numGroups does not change the result") {
-    val base = BruteForce.mine(small, 0.4)
-    Seq(1, 2, 7, 64).foreach { g =>
-      val got = FPGrowth.mine(ds(small), 0.4, numGroups = g).collect().toSeq
-      assert(Itemsets.diff(got, base).isEmpty, s"numGroups $g")
+  test("matches brute force on randomized inputs") {
+    val rnd = new scala.util.Random(1234)
+    (1 to 42).foreach { rep =>
+      val alphabet = ('a' to ('a' + 1 + rnd.nextInt(7)).toChar).map(_.toString)
+      val tx = Seq.fill(1 + rnd.nextInt(41)) {
+        rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1)).toSeq
+      }
+      val minSup = 0.1 + rnd.nextDouble() * 0.8
+      val d = Itemsets.diff(FPGrowth.mine(tx, minSup), BruteForce.mine(tx, minSup))
+      assert(d.isEmpty, s"rep $rep minSup $minSup: ${d.take(5)}")
     }
   }
 
-  test("mineLocal agrees with distributed mine") {
-    val got = FPGrowth.mine(ds(small), 0.2).collect().toSeq
-    val local = FPGrowth.mineLocal(small, 0.2)
-    assert(Itemsets.diff(got, local).isEmpty)
-  }
-
   test("distributed == local == brute force on randomized inputs") {
+    // Distributed: the grouped Spark pass of the pipeline, which mines each
+    // group inside its own task; local: FPGrowth.mine on the driver.
+    import spark.implicits._
     val rnd = new scala.util.Random(99)
     (1 to 12).foreach { rep =>
       val alphabet = ('a' to ('a' + 1 + rnd.nextInt(7)).toChar).map(_.toString)
-      val tx = Seq.fill(2 + rnd.nextInt(40)) {
-        rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1)).toSeq
+      val groups = (1 to 1 + rnd.nextInt(3)).map { g =>
+        s"g$g" -> Seq.fill(2 + rnd.nextInt(40)) {
+          rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1)).toSeq
+        }
       }
       val minSup = 0.15 + rnd.nextDouble() * 0.7
-      val dist = FPGrowth.mine(ds(tx), minSup, numGroups = 1 + rnd.nextInt(8)).collect().toSeq
-      val brute = BruteForce.mine(tx, minSup)
-      assert(Itemsets.diff(dist, brute).isEmpty, s"rep $rep minSup $minSup")
-      val local = FPGrowth.mineLocal(tx, minSup)
-      assert(Itemsets.diff(local, brute).isEmpty, s"rep $rep (local) minSup $minSup")
+      val df = groups.flatMap { case (g, tx) => tx.map(g -> _) }.toDF("cuisine", "items")
+      val dist = PatternMiner.minePerCuisine(df, minSup)
+      assert(dist.map(_.cuisine) == groups.map(_._1), s"rep $rep")
+      dist.zip(groups).foreach { case (cp, (g, tx)) =>
+        val brute = BruteForce.mine(tx, minSup)
+        assert(cp.nRecipes == tx.size, s"rep $rep $g")
+        assert(Itemsets.diff(cp.itemsets, brute).isEmpty, s"rep $rep $g minSup $minSup")
+        val local = FPGrowth.mine(tx, minSup)
+        assert(Itemsets.diff(local, brute).isEmpty, s"rep $rep $g (local) minSup $minSup")
+      }
     }
   }
 
   test("matches Spark MLlib's FPGrowth on randomized inputs") {
     import org.apache.spark.ml.fpm.{FPGrowth => MLFPGrowth}
+    import spark.implicits._
     val rnd = new scala.util.Random(2024)
     (1 to 5).foreach { rep =>
       val alphabet = ('a' to ('a' + 2 + rnd.nextInt(6)).toChar).map(_.toString)
@@ -117,7 +123,7 @@ class FPGrowthSpec extends SparkSpec {
         rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1)).toSeq
       }
       val minSup = 0.2 + rnd.nextDouble() * 0.5
-      val ours = FPGrowth.mine(ds(tx), minSup).collect().toSeq
+      val ours = FPGrowth.mine(tx, minSup)
       val mlModel = new MLFPGrowth()
         .setItemsCol("items").setMinSupport(minSup).setMinConfidence(0.5)
         .fit(tx.toDF("items"))
@@ -128,12 +134,5 @@ class FPGrowthSpec extends SparkSpec {
       }.toSeq
       assert(Itemsets.diff(ours, theirs).isEmpty, s"rep $rep minSup $minSup")
     }
-  }
-
-  test("handles item universes larger than numGroups") {
-    val tx = (0 until 50).map(i => Seq(s"i${i % 10}", s"i${(i + 1) % 10}"))
-    val got = FPGrowth.mine(tx.toDS(), 0.1, numGroups = 3).collect().toSeq
-    val brute = BruteForce.mine(tx, 0.1)
-    assert(Itemsets.diff(got, brute).isEmpty)
   }
 }
